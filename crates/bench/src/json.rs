@@ -467,7 +467,8 @@ pub fn load_summary(traces: &[RankTrace]) -> Json {
 
 /// Aggregate of the rank's pooled schedule executions: how many loop
 /// ranges / tiled chains ran threaded, with how much parallel slack
-/// (chunks, levels) and how much wall time inside the leveled sweeps.
+/// (chunks, levels), how many owner-compute seam iterations ran
+/// redundantly, and how much wall time inside the leveled sweeps.
 fn threads_json(t: &RankTrace) -> Json {
     let execs = t.threads.len() as u64;
     let tiled_execs = t
@@ -477,6 +478,7 @@ fn threads_json(t: &RankTrace) -> Json {
         .count() as u64;
     let n_threads = t.threads.iter().map(|r| r.n_threads as u64).max().unwrap_or(1);
     let chunks: u64 = t.threads.iter().map(|r| r.n_chunks as u64).sum();
+    let redundant_iters: u64 = t.threads.iter().map(|r| r.redundant_iters as u64).sum();
     let max_levels = t.threads.iter().map(|r| r.n_levels as u64).max().unwrap_or(0);
     let level_ns: u64 = t
         .threads
@@ -498,6 +500,7 @@ fn threads_json(t: &RankTrace) -> Json {
         ("dataflow_execs", Json::U64(dataflow_execs)),
         ("n_threads", Json::U64(n_threads)),
         ("chunks", Json::U64(chunks)),
+        ("redundant_iters", Json::U64(redundant_iters)),
         ("max_levels", Json::U64(max_levels)),
         ("max_crit_path", Json::U64(max_crit_path)),
         ("level_ns", Json::U64(level_ns)),

@@ -93,6 +93,22 @@ fn for_each_access(
                 on_loop(*loop_idx as usize, e as usize, f);
             }
         }
+        Piece::Masked {
+            loop_idx,
+            iters,
+            masks,
+        } => {
+            // Only unmasked targets: masked-off writes land in the
+            // worker's sink, so the chunks of one owner level stay
+            // unchained.
+            for (&e, &m) in iters.iter().zip(masks).filter(|(_, &m)| m != 0) {
+                for a in &accesses[*loop_idx as usize] {
+                    if !a.writes || (m >> a.arg) & 1 == 1 {
+                        f(a, e as usize);
+                    }
+                }
+            }
+        }
         Piece::Fused { group, start, end } => {
             for e in *start..*end {
                 for &lj in &sched.fused[*group as usize].loops {
@@ -232,7 +248,7 @@ pub fn dag_accesses<'a>(maps: &'a [MapData], sigs: &[LoopSig]) -> Vec<Vec<Confli
     sigs.iter()
         .map(|sig| {
             let mut out = Vec::new();
-            for a in &sig.args {
+            for (arg, a) in sig.args.iter().enumerate() {
                 if let Arg::Dat { dat, map, mode } = a {
                     if !modified.contains(dat) {
                         continue;
@@ -244,12 +260,14 @@ pub fn dag_accesses<'a>(maps: &'a [MapData], sigs: &[LoopSig]) -> Vec<Vec<Confli
                                 map: Some((md.values.as_slice(), md.arity, *idx as usize)),
                                 set: md.to.idx(),
                                 writes: mode.modifies(),
+                                arg,
                             });
                         }
                         None => out.push(ConflictAccess {
                             map: None,
                             set: sig.set.idx(),
                             writes: mode.modifies(),
+                            arg,
                         }),
                     }
                 }

@@ -10,9 +10,9 @@
 //! because two arguments of one iteration may legally alias (e.g. an edge
 //! whose two map entries resolve to the same node); value-based access
 //! through raw pointers is sound under aliasing, while two live `&mut`
-//! would not be. Mode misuse (writing through a `Read` argument, …) is
-//! caught by debug assertions, mirroring how OP2 relies on the access
-//! descriptors being truthful.
+//! would not be. Mode misuse (writing through a `Read` argument, reading
+//! an `Inc` one, …) is caught by debug assertions, mirroring how OP2
+//! relies on the access descriptors being truthful.
 
 use crate::access::AccessMode;
 
@@ -77,13 +77,16 @@ impl<'a> Args<'a> {
         s
     }
 
-    /// Read component `comp` of argument `arg`. Valid for `Read`, `Rw` and
-    /// `Inc` arguments.
+    /// Read component `comp` of argument `arg`. Valid for `Read` and `Rw`
+    /// arguments only: an `Inc` argument's prior value is not the
+    /// kernel's to see (OP2's contract — the owner-compute executor
+    /// redirects masked-off increments to a sink slot, which relies on
+    /// it).
     #[inline]
     pub fn get(&self, arg: usize, comp: usize) -> f64 {
         let s = self.slot(arg, comp);
         debug_assert!(
-            s.mode.reads(),
+            readable(s.mode),
             "argument {arg} has mode {:?} and may not be read",
             s.mode
         );
@@ -146,17 +149,28 @@ impl<'a> Args<'a> {
     }
 
     /// Copy all components of argument `arg` into `out` (a gather helper
-    /// for kernels that want a local array).
+    /// for kernels that want a local array). Valid for `Read` and `Rw`
+    /// arguments only, like [`Args::get`].
     #[inline]
     pub fn load(&self, arg: usize, out: &mut [f64]) {
         let s = &self.slots[arg];
-        debug_assert!(s.mode.reads());
+        debug_assert!(
+            readable(s.mode),
+            "argument {arg} has mode {:?} and may not be read",
+            s.mode
+        );
         debug_assert!(out.len() <= s.dim as usize);
         for (c, o) in out.iter_mut().enumerate() {
             // SAFETY: executor guarantees validity; see `Args::new`.
             *o = unsafe { *s.ptr.add(c) };
         }
     }
+}
+
+/// Whether a kernel may read an argument of this mode: `Read` and `Rw`.
+#[inline]
+fn readable(mode: AccessMode) -> bool {
+    matches!(mode, AccessMode::Read | AccessMode::Rw)
 }
 
 #[cfg(test)]
@@ -213,6 +227,27 @@ mod tests {
         args.inc(1, 0, 2.0);
         drop(args);
         assert_eq!(x[0], 3.0);
+    }
+
+    /// Reading an `Inc` argument breaks the OP2 contract and trips the
+    /// debug assertion, through `get` and `load` alike.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn reading_an_inc_argument_panics() {
+        let mut x = [1.0, 2.0];
+        let slots = [ArgSlot {
+            ptr: x.as_mut_ptr(),
+            dim: 2,
+            mode: AccessMode::Inc,
+        }];
+        let args = Args::new(&slots);
+        let get = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| args.get(0, 0)));
+        assert!(get.is_err(), "get on an Inc argument must panic");
+        let load = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut out = [0.0; 2];
+            args.load(0, &mut out);
+        }));
+        assert!(load.is_err(), "load on an Inc argument must panic");
     }
 
     #[test]

@@ -82,6 +82,7 @@ pub mod domain;
 pub mod error;
 pub mod kernel;
 pub mod loops;
+pub mod owner;
 pub mod par;
 pub mod schedule;
 pub mod seq;

@@ -23,9 +23,15 @@
 //!   block schedule within a color. (Plain greedy coloring cannot promise
 //!   this — it reorders conflicting iterations across colors.)
 //!
-//! The price is more colors than a greedy minimum; block counts are small
-//! (`n/block_size`), so the per-color barrier cost stays negligible for
-//! the loop sizes worth threading.
+//! The price is more colors than a greedy minimum, and every color is a
+//! pool barrier. That price is not negligible: on mesh-ordered edge loops
+//! consecutive blocks share nodes, so the colors climb like a ladder.
+//! MG-CFD at 40³ nodes needed 3612 levels per iteration with 1.41
+//! chunks per level on two threads. Loops whose writes are all indirect
+//! `Inc` therefore use the owner-compute lowering ([`crate::owner`])
+//! instead — one level per loop range, 14 per MG-CFD iteration — and
+//! this coloring remains for the rest (indirect `Rw`/`Write` loops and
+//! direct loops).
 
 use crate::access::Arg;
 use crate::coloring::Coloring;
@@ -103,6 +109,9 @@ pub struct ConflictAccess<'a> {
     pub set: usize,
     /// Whether this access modifies the target element.
     pub writes: bool,
+    /// Position of the access among the loop's arguments (the bit an
+    /// owner-compute mask uses for it, see [`crate::owner`]).
+    pub arg: usize,
 }
 
 impl ConflictAccess<'_> {
@@ -129,7 +138,7 @@ pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<Conflict
         if !(mode.modifies() && indirect) {
             continue;
         }
-        for a in &sig.args {
+        for (arg, a) in sig.args.iter().enumerate() {
             if let Arg::Dat { dat, map, mode } = a {
                 if *dat != d {
                     continue;
@@ -141,12 +150,14 @@ pub fn conflict_accesses<'a>(maps: &'a [MapData], sig: &LoopSig) -> Vec<Conflict
                             map: Some((md.values.as_slice(), md.arity, *idx as usize)),
                             set: md.to.idx(),
                             writes: mode.modifies(),
+                            arg,
                         });
                     }
                     None => out.push(ConflictAccess {
                         map: None,
                         set: sig.set.idx(),
                         writes: mode.modifies(),
+                        arg,
                     }),
                 }
             }

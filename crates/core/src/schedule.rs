@@ -1,34 +1,39 @@
 //! The unified `Schedule` execution IR.
 //!
 //! Every way this crate runs a loop or a loop-chain — a plain sequential
-//! range, a colored-blocked threaded loop, a sparse-tiled chain — is the
-//! same thing at heart: an ordered list of *levels* separated by
-//! synchronization barriers, each level holding iteration *chunks* that
-//! are conflict-free against one another. This module makes that shape a
-//! first-class value:
+//! range, a colored-blocked or owner-compute threaded loop, a
+//! sparse-tiled chain — is the same thing at heart: an ordered list of
+//! *levels* separated by synchronization barriers, each level holding
+//! iteration *chunks* that are conflict-free against one another. This
+//! module makes that shape a first-class value:
 //!
 //! * [`Piece`] — a contiguous iteration range or an explicit index list
-//!   of one loop of the chain;
+//!   of one loop of the chain (optionally with per-iteration write masks,
+//!   [`Piece::Masked`]);
 //! * [`Chunk`] — an ordered list of pieces executed sequentially by one
-//!   worker (a colored block; a tile's slice of every loop);
+//!   worker (a colored block; a thread's owner-compute share; a tile's
+//!   slice of every loop);
 //! * [`Schedule`] — levels of chunks. Chunks within a level may run
 //!   concurrently; levels execute in order with a barrier between them.
 //!
 //! Lowerings build schedules from each scheduling strategy
 //! ([`Schedule::range`], [`Schedule::from_coloring`],
-//! [`Schedule::from_block_coloring`], [`Schedule::from_tile_plan`]), and
-//! a single pair of executors runs them: [`run_schedule`] (sequential,
-//! one thread, level and chunk order) and [`run_schedule_threads`]
-//! (scoped OS threads per level — the reference threaded executor; the
-//! runtime crate's pool executes the same schedules per rank).
+//! [`Schedule::from_block_coloring`], [`Schedule::from_tile_plan`],
+//! [`crate::owner::owner_schedule`]), and a single pair of executors
+//! runs them: [`run_schedule`] (sequential, one thread, level and chunk
+//! order) and [`run_schedule_threads`] (scoped OS threads per level —
+//! the reference threaded executor; the runtime crate's pool executes
+//! the same schedules per rank).
 //!
 //! **Determinism contract.** When the lowering guarantees that (a)
 //! same-level chunks touch disjoint modified elements and (b) every
 //! conflicting chunk pair is ordered by level in ascending iteration
-//! order — as the levelized block coloring and the leveled tile plan do —
-//! the per-element update sequence under any thread count equals the
-//! sequential one, so results are **bitwise identical** to
-//! [`crate::seq::run_loop`] / the sequential tiled walk.
+//! order — as the levelized block coloring and the leveled tile plan do,
+//! and the owner-compute lowering does trivially by giving every
+//! modified element a single writer chunk that runs its updates in
+//! ascending order — the per-element update sequence under any thread
+//! count equals the sequential one, so results are **bitwise identical**
+//! to [`crate::seq::run_loop`] / the sequential tiled walk.
 //!
 //! [`BoundLoop`] is the one argument-resolution and kernel-invocation
 //! path shared by every executor: base pointers resolved once per loop,
@@ -64,6 +69,16 @@ pub enum Piece {
     Fused { group: u32, start: u32, end: u32 },
     /// The list form of [`Piece::Fused`].
     FusedList { group: u32, iters: Vec<u32> },
+    /// Seam iterations of an owner-compute chunk (see [`crate::owner`]),
+    /// ascending: `iters[k]` runs with argument mask `masks[k]`. Bit `a`
+    /// set writes argument `a` through to its dat; clear redirects a
+    /// modifying argument to a per-worker sink slot. An all-zero mask
+    /// skips the iteration.
+    Masked {
+        loop_idx: u32,
+        iters: Vec<u32>,
+        masks: Vec<u64>,
+    },
 }
 
 impl Piece {
@@ -74,7 +89,9 @@ impl Piece {
             Piece::Range { start, end, .. } | Piece::Fused { start, end, .. } => {
                 (*end as usize).saturating_sub(*start as usize)
             }
-            Piece::List { iters, .. } | Piece::FusedList { iters, .. } => iters.len(),
+            Piece::List { iters, .. }
+            | Piece::FusedList { iters, .. }
+            | Piece::Masked { iters, .. } => iters.len(),
         }
     }
 
@@ -87,9 +104,9 @@ impl Piece {
     /// pieces, which belong to every loop of their group).
     pub fn loop_idx(&self) -> Option<usize> {
         match self {
-            Piece::Range { loop_idx, .. } | Piece::List { loop_idx, .. } => {
-                Some(*loop_idx as usize)
-            }
+            Piece::Range { loop_idx, .. }
+            | Piece::List { loop_idx, .. }
+            | Piece::Masked { loop_idx, .. } => Some(*loop_idx as usize),
             Piece::Fused { .. } | Piece::FusedList { .. } => None,
         }
     }
@@ -99,7 +116,7 @@ impl Piece {
     pub fn group_idx(&self) -> Option<usize> {
         match self {
             Piece::Fused { group, .. } | Piece::FusedList { group, .. } => Some(*group as usize),
-            Piece::Range { .. } | Piece::List { .. } => None,
+            Piece::Range { .. } | Piece::List { .. } | Piece::Masked { .. } => None,
         }
     }
 }
@@ -134,6 +151,10 @@ pub enum ScheduleKind {
     Colored { block_size: usize },
     /// Lowered from a leveled tile plan: level per tile-conflict level.
     Tiled { n_tiles: usize },
+    /// Lowered by the owner-compute inspector ([`crate::owner`]): one
+    /// level, one chunk per thread; `redundant_iters` counts iteration
+    /// executions beyond one per iteration (the seam).
+    Owner { redundant_iters: usize },
 }
 
 /// One elided (scratch-resident) intermediate of a fusion group: inside
@@ -725,27 +746,61 @@ pub fn slots_for(args: &[BoundArg]) -> Vec<ArgSlot> {
         .collect()
 }
 
+/// Data pointer of bound argument `r` at iteration `e`. The only place
+/// iteration indices are resolved to data pointers.
+#[inline]
+fn elem_ptr(r: &BoundArg, e: usize) -> *mut f64 {
+    let elem = match (&r.map, r.direct) {
+        (Some((mbase, arity, idx)), _) => {
+            // SAFETY: map values validated at declaration; the
+            // schedule only covers iterations whose entries are
+            // within the built halo depth.
+            let v = unsafe { *mbase.add(e * arity + idx) };
+            debug_assert_ne!(v, u32::MAX, "map entry beyond built halo depth dereferenced");
+            v as usize
+        }
+        (None, true) => e,
+        (None, false) => 0, // gbl / scratch slot
+    };
+    // SAFETY: in-bounds per dat declaration; concurrent writers
+    // are excluded by the schedule's conflict-freedom.
+    unsafe { r.base.add(elem * r.dim as usize) }
+}
+
 /// One kernel invocation at element `e`: point every slot at its
-/// element per the bound args, call the kernel. The only place iteration
-/// indices are resolved to data pointers.
+/// element per the bound args, call the kernel.
 #[inline]
 pub fn run_elem(kernel: KernelFn, args: &[BoundArg], slots: &mut [ArgSlot], e: usize) {
     for (slot, r) in slots.iter_mut().zip(args.iter()) {
-        let elem = match (&r.map, r.direct) {
-            (Some((mbase, arity, idx)), _) => {
-                // SAFETY: map values validated at declaration; the
-                // schedule only covers iterations whose entries are
-                // within the built halo depth.
-                let v = unsafe { *mbase.add(e * arity + idx) };
-                debug_assert_ne!(v, u32::MAX, "map entry beyond built halo depth dereferenced");
-                v as usize
-            }
-            (None, true) => e,
-            (None, false) => 0, // gbl / scratch slot
+        slot.ptr = elem_ptr(r, e);
+    }
+    (kernel)(&Args::new(slots));
+}
+
+/// [`run_elem`] under an owner-compute mask ([`Piece::Masked`]): every
+/// modifying argument whose bit in `mask` is clear points at `sink` (a
+/// per-worker slot at least as long as the widest argument) instead of
+/// its element. Sound because masked arguments are `Inc`, which kernels
+/// never read: the kernel's unmasked writes are the same values
+/// sequential execution produces. An all-zero mask skips the iteration.
+#[inline]
+fn run_elem_masked(
+    kernel: KernelFn,
+    args: &[BoundArg],
+    slots: &mut [ArgSlot],
+    e: usize,
+    mask: u64,
+    sink: *mut f64,
+) {
+    if mask == 0 {
+        return;
+    }
+    for (a, (slot, r)) in slots.iter_mut().zip(args.iter()).enumerate() {
+        slot.ptr = if r.mode.modifies() && (mask >> a) & 1 == 0 {
+            sink
+        } else {
+            elem_ptr(r, e)
         };
-        // SAFETY: in-bounds per dat declaration; concurrent writers
-        // are excluded by the schedule's conflict-freedom.
-        slot.ptr = unsafe { r.base.add(elem * r.dim as usize) };
     }
     (kernel)(&Args::new(slots));
 }
@@ -766,6 +821,9 @@ pub struct SchedCtx {
     /// Per chain loop: bound args with scratch rebinds applied (empty =
     /// the loop has no elided args; use the `BoundLoop`'s own).
     overrides: Vec<Vec<BoundArg>>,
+    /// Sink slot masked-off owner-compute writes land in
+    /// ([`Piece::Masked`]); as long as the widest modifying argument.
+    sink: Vec<f64>,
     /// Heap (re)allocations performed by `prepare` so far.
     allocs: u64,
 }
@@ -809,6 +867,18 @@ impl SchedCtx {
             buf.extend(slots_for(&bl.args));
             track(&mut self.allocs, buf.capacity() != cap);
         }
+
+        // Sink for masked-off writes.
+        let sink_len = bound
+            .iter()
+            .flat_map(|bl| &bl.args)
+            .filter(|r| r.mode.modifies())
+            .map(|r| r.dim as usize)
+            .max()
+            .unwrap_or(0);
+        let cap0 = self.sink.capacity();
+        self.sink.resize(sink_len.max(self.sink.len()), 0.0);
+        track(&mut self.allocs, self.sink.capacity() != cap0);
 
         // Scratch pool.
         let cap0 = self.pool.capacity();
@@ -866,8 +936,12 @@ impl SchedCtx {
 /// for `sched`).
 pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut SchedCtx) {
     let SchedCtx {
-        slots, overrides, ..
+        slots,
+        overrides,
+        sink,
+        ..
     } = ctx;
+    let sink = sink.as_mut_ptr();
     let args_of = |j: usize| -> &[BoundArg] {
         if overrides[j].is_empty() {
             &bound[j].args
@@ -895,6 +969,18 @@ pub fn run_chunk(bound: &[BoundLoop], sched: &Schedule, chunk: &Chunk, ctx: &mut
                 let slots = &mut slots[j];
                 for &e in iters {
                     run_elem(bound[j].kernel, args, slots, e as usize);
+                }
+            }
+            Piece::Masked {
+                loop_idx,
+                iters,
+                masks,
+            } => {
+                let j = *loop_idx as usize;
+                let args = args_of(j);
+                let slots = &mut slots[j];
+                for (&e, &m) in iters.iter().zip(masks) {
+                    run_elem_masked(bound[j].kernel, args, slots, e as usize, m, sink);
                 }
             }
             Piece::Fused { group, start, end } => {

@@ -36,7 +36,8 @@ use crate::threads::{
 };
 use crate::trace::{ExchangeRec, RankTrace, SchedKind, ThreadRec};
 use op2_core::dag::{dag_accesses, ChunkDag};
-use op2_core::par::{adaptive_block_size, color_blocks_raw, conflict_accesses, BlockColoring};
+use op2_core::owner;
+use op2_core::par::{adaptive_block_size, color_blocks_raw, conflict_accesses};
 use op2_core::schedule::{
     run_schedule_ctx, BoundArg, BoundLoop, SchedCtx, Schedule, ScheduleKind,
 };
@@ -201,6 +202,11 @@ pub fn thread_pin_from_env() -> Result<bool, crate::error::ConfigError> {
 /// cost (two pool barriers, ~µs) stays well under the memory traffic it
 /// parallelises; below it the sequential copy wins.
 pub const PACK_THREAD_BYTES: usize = 32 << 10;
+
+/// Block-size slot of a threaded loop's schedule-cache key under the
+/// owner-compute lowering, which has no blocks (colorings always have
+/// block size ≥ 1).
+const OWNER_BLOCK: usize = 0;
 
 /// The `MPI_Send_init` moment of the persistent-exchange engine: tracks
 /// which plans have had their message buffers pre-sized into the
@@ -394,10 +400,11 @@ impl<'a> RankEnv<'a> {
     /// reduction accumulators), one per [`op2_core::GblDecl`].
     ///
     /// With threading active ([`Threading::active`]) and a range worth
-    /// splitting, the range is lowered to a colored [`Schedule`] (cached
-    /// per (loop, range, block size) in the rank's [`ThreadCtx`]) and
-    /// executed on the rank's pool. Results are bitwise identical either
-    /// way.
+    /// splitting, the range is lowered to a [`Schedule`] — owner-compute
+    /// for increment loops ([`op2_core::owner`]), levelized block
+    /// coloring otherwise — cached per (loop, range, block size) in the
+    /// rank's [`ThreadCtx`], and executed on the rank's pool. Results
+    /// are bitwise identical either way.
     pub fn exec_range(
         &mut self,
         spec: &LoopSpec,
@@ -405,7 +412,7 @@ impl<'a> RankEnv<'a> {
         end: usize,
         gbl_bufs: &mut [Vec<f64>],
     ) {
-        let Some(block_size) = self.threaded_block_size(spec, start, end) else {
+        let Some(block_size) = self.threaded_lowering(spec, start, end) else {
             return self.exec_impl(spec, ExecIters::Range(start, end), gbl_bufs);
         };
         let key = (crate::plan::loop_signature(spec), start, end, block_size);
@@ -437,7 +444,7 @@ impl<'a> RankEnv<'a> {
         plan: &ChainPlan,
         pos: usize,
     ) {
-        let Some(block_size) = self.threaded_block_size(spec, start, end) else {
+        let Some(block_size) = self.threaded_lowering(spec, start, end) else {
             return self.exec_impl(spec, ExecIters::Range(start, end), gbl_bufs);
         };
         let key = (pos, start, end, block_size);
@@ -456,19 +463,28 @@ impl<'a> RankEnv<'a> {
         self.exec_schedule_threaded(spec, gbl_bufs, &sched, Some(plan));
     }
 
-    /// Should `[start, end)` of `spec` run on the thread pool — and with
-    /// which block size? `None` means run sequentially. Requires an
-    /// active configuration, no global reduction (order-sensitive float
-    /// sums must accumulate in sequential order), and more than one
-    /// block's worth of iterations (a single block has no parallelism to
-    /// expose). Under `OP2_BLOCK_SIZE=auto` the block size is picked
-    /// per-loop from the measured conflict degree.
-    fn threaded_block_size(&self, spec: &LoopSpec, start: usize, end: usize) -> Option<usize> {
+    /// Should `[start, end)` of `spec` run on the thread pool, and
+    /// lowered how? `None` means run sequentially; [`OWNER_BLOCK`] the
+    /// owner-compute lowering ([`op2_core::owner::eligible`] loops); any
+    /// other value the block coloring with that block size. Threading
+    /// requires an active configuration, no global reduction
+    /// (order-sensitive float sums must accumulate in sequential order),
+    /// and more than one block's worth of iterations (below that there
+    /// is too little work to split). Under `OP2_BLOCK_SIZE=auto` the
+    /// block size is picked per-loop from the measured conflict degree.
+    fn threaded_lowering(&self, spec: &LoopSpec, start: usize, end: usize) -> Option<usize> {
         if !self.threads.opts.active() || spec.has_reduction() {
             return None;
         }
         let block_size = self.chosen_block_size(spec, start, end);
-        (end.saturating_sub(start) > block_size).then_some(block_size)
+        if end.saturating_sub(start) <= block_size {
+            return None;
+        }
+        Some(if owner::eligible(&spec.sig()) {
+            OWNER_BLOCK
+        } else {
+            block_size
+        })
     }
 
     /// The block size for `[start, end)` of `spec`: the configured value,
@@ -484,31 +500,27 @@ impl<'a> RankEnv<'a> {
         adaptive_block_size(start, end, &set_sizes, &accesses)
     }
 
-    /// Inspector: the levelized order-preserving block coloring of
-    /// `[start, end)` under `spec`'s access pattern, over this rank's
-    /// localized maps. Only executable iterations are colored, so every
-    /// dereferenced map target is a valid local index (the layout
-    /// invariant the executor itself relies on).
-    pub fn build_block_coloring(
-        &self,
-        spec: &LoopSpec,
-        start: usize,
-        end: usize,
-    ) -> BlockColoring {
+    /// Pool barriers a threaded run of `[start, end)` of `spec` pays —
+    /// the count the tuner's threaded cost model prices: one level for
+    /// an owner-compute loop, else the color count of the levelized
+    /// block coloring over this rank's localized maps. Only executable
+    /// iterations are colored, so every dereferenced map target is a
+    /// valid local index (the layout invariant the executor relies on).
+    pub fn threaded_levels(&self, spec: &LoopSpec, start: usize, end: usize) -> usize {
         let sig = spec.sig();
+        if owner::eligible(&sig) {
+            return 1;
+        }
         let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
         let accesses = conflict_accesses(&self.layout.maps, &sig);
-        color_blocks_raw(
-            start,
-            end,
-            self.chosen_block_size(spec, start, end),
-            &set_sizes,
-            &accesses,
-        )
+        let block_size = self.chosen_block_size(spec, start, end);
+        color_blocks_raw(start, end, block_size, &set_sizes, &accesses).n_colors
     }
 
-    /// Inspector: lower `[start, end)` of `spec` to a colored
-    /// [`Schedule`] with the given block size.
+    /// Inspector: lower `[start, end)` of `spec` per
+    /// [`RankEnv::threaded_lowering`] — owner-compute across the pool's
+    /// threads for [`OWNER_BLOCK`], a block coloring with the given
+    /// block size otherwise.
     fn build_loop_schedule(
         &self,
         spec: &LoopSpec,
@@ -519,6 +531,10 @@ impl<'a> RankEnv<'a> {
         let sig = spec.sig();
         let set_sizes: Vec<usize> = self.layout.sets.iter().map(|s| s.n_local()).collect();
         let accesses = conflict_accesses(&self.layout.maps, &sig);
+        if block_size == OWNER_BLOCK {
+            let threads = self.threads.opts.n_threads;
+            return owner::owner_schedule(start, end, threads, &set_sizes, &accesses);
+        }
         let bc = color_blocks_raw(start, end, block_size, &set_sizes, &accesses);
         Schedule::from_block_coloring(&bc)
     }
@@ -634,13 +650,15 @@ impl<'a> RankEnv<'a> {
         run_schedule_pooled_ctx(&pool, bound, sched, &mut self.threads.sched_ctxs)
     }
 
-    /// Executor: run one loop's colored schedule on the rank's own pool.
-    /// Same-level chunks touch disjoint modified elements (race-free)
-    /// and conflicting chunks are ordered by ascending level = ascending
-    /// block index — and the dataflow drain preserves exactly the
-    /// conflicting-pair order through the chunk DAG — so per-element
-    /// update order equals the sequential executor's: results are
-    /// bitwise identical for any thread count and either drain. Appends
+    /// Executor: run one loop's owner-compute or colored schedule on the
+    /// rank's own pool. Owner chunks write disjoint elements, each in
+    /// ascending iteration order; colored same-level chunks touch
+    /// disjoint modified elements and conflicting chunks are ordered by
+    /// ascending level = ascending block index — and the dataflow drain
+    /// preserves exactly the conflicting-pair order through the chunk
+    /// DAG — so per-element update order equals the sequential
+    /// executor's: results are bitwise identical for any thread count
+    /// and either drain. Appends
     /// a [`ThreadRec`] with per-level wall times and per-worker
     /// idle/steal/fire counters to the trace.
     fn exec_schedule_threaded(
@@ -653,18 +671,20 @@ impl<'a> RankEnv<'a> {
         let bound = self.bind_loop(spec, gbl_bufs);
         let sigs = [spec.sig()];
         let stats = self.drain_schedule(&sigs, std::slice::from_ref(&bound), sched, plan);
-        let block_size = match sched.kind {
-            ScheduleKind::Colored { block_size } => block_size,
-            _ => 0,
+        let (kind, block_size, redundant_iters) = match sched.kind {
+            ScheduleKind::Owner { redundant_iters } => (SchedKind::Owner, 0, redundant_iters),
+            ScheduleKind::Colored { block_size } => (SchedKind::Colored, block_size, 0),
+            _ => (SchedKind::Colored, 0, 0),
         };
         self.trace.threads.push(ThreadRec {
             name: spec.name.clone(),
             iters: sched.loop_iters(0),
+            redundant_iters,
             n_threads: self.threads.pool().n_threads(),
             block_size,
             n_chunks: sched.n_chunks(),
             n_levels: sched.n_levels(),
-            kind: SchedKind::Colored,
+            kind,
             level_ns: stats.level_ns,
             crit_path: stats.crit_path,
             dataflow: stats.dataflow,
@@ -717,6 +737,7 @@ impl<'a> RankEnv<'a> {
             self.trace.threads.push(ThreadRec {
                 name: chain.name.clone(),
                 iters,
+                redundant_iters: 0,
                 n_threads: self.threads.pool().n_threads(),
                 block_size: 0,
                 n_chunks: sched.n_chunks(),

@@ -233,8 +233,18 @@ impl ThreadPool {
     /// caller) unique to one concurrent participant. Fused schedule
     /// execution uses it to give every participant its own scratch
     /// context without locking.
+    ///
+    /// A round with one task, or on a pool without workers, runs inline
+    /// on the caller (as worker 0) without waking anyone; a panic then
+    /// unwinds straight out of the call.
     pub fn run_indexed(&self, n_tasks: usize, task: &(dyn Fn(usize, usize) + Sync)) {
         if n_tasks == 0 {
+            return;
+        }
+        if n_tasks == 1 || self.senders.is_empty() {
+            for i in 0..n_tasks {
+                task(0, i);
+            }
             return;
         }
         // SAFETY: lifetime erasure only — `run_indexed` does not return
@@ -486,7 +496,7 @@ impl DataflowScratch {
             let cap = q.capacity();
             if cap < n_chunks {
                 self.allocs += 1;
-                q.reserve_exact(n_chunks - cap);
+                q.reserve_exact(n_chunks); // relative to len, which is 0
             }
             self.sizes[w].store(0, Ordering::Relaxed);
             self.busy[w].store(0, Ordering::Relaxed);
@@ -893,6 +903,29 @@ mod tests {
         }));
         assert!(res.is_err());
         // The pool survives a panicked round.
+        let total = AtomicUsize::new(0);
+        pool.run(8, &|_| {
+            total.fetch_add(1, Ordering::Relaxed);
+        });
+        assert_eq!(total.load(Ordering::Relaxed), 8);
+    }
+
+    /// A one-task round runs on the caller without waking the workers:
+    /// its panic still reaches the caller, and the pool keeps working.
+    #[test]
+    fn single_task_round_runs_inline_and_propagates_panics() {
+        let pool = ThreadPool::new(2);
+        let caller = std::thread::current().id();
+        let ran_on = Mutex::new(None);
+        pool.run_indexed(1, &|w, i| {
+            assert_eq!((w, i), (0, 0));
+            *ran_on.lock().unwrap() = Some(std::thread::current().id());
+        });
+        assert_eq!(*ran_on.lock().unwrap(), Some(caller));
+        let res = catch_unwind(AssertUnwindSafe(|| {
+            pool.run(1, &|_| panic!("the only task exploded"));
+        }));
+        assert!(res.is_err());
         let total = AtomicUsize::new(0);
         pool.run(8, &|_| {
             total.fetch_add(1, Ordering::Relaxed);

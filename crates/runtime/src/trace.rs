@@ -217,11 +217,14 @@ pub enum SchedKind {
     Colored,
     /// A whole chain lowered through the leveled tile plan.
     Tiled,
+    /// A single increment-loop range lowered by the owner-compute
+    /// inspector ([`op2_core::owner`]): one level, one chunk per thread.
+    Owner,
 }
 
-/// One pooled [`op2_core::Schedule`] execution — a colored loop range or
-/// a tiled chain (see [`crate::threads`]): the schedule shape plus
-/// per-level wall time.
+/// One pooled [`op2_core::Schedule`] execution — a colored or
+/// owner-compute loop range, or a tiled chain (see [`crate::threads`]):
+/// the schedule shape plus per-level wall time.
 ///
 /// Equality ignores the *values* in `level_ns` (wall clock varies run to
 /// run) but keeps its *length* — two equal records executed the same
@@ -232,8 +235,14 @@ pub struct ThreadRec {
     /// Loop or chain name.
     pub name: String,
     /// Total iterations executed (summed over the chain's loops for
-    /// tiled schedules).
+    /// tiled schedules; seam iterations count once per executing
+    /// thread).
     pub iters: usize,
+    /// Executions beyond one per iteration: the owner-compute seam
+    /// iterations threads run redundantly (0 for colored and tiled
+    /// schedules) — the in-rank counterpart of CA's redundant halo
+    /// iterations.
+    pub redundant_iters: usize,
     /// Threads that executed it.
     pub n_threads: usize,
     /// Iterations per coloring block (0 for tiled schedules, which
@@ -272,6 +281,7 @@ impl PartialEq for ThreadRec {
     fn eq(&self, other: &Self) -> bool {
         self.name == other.name
             && self.iters == other.iters
+            && self.redundant_iters == other.redundant_iters
             && self.n_threads == other.n_threads
             && self.block_size == other.block_size
             && self.n_chunks == other.n_chunks

@@ -234,8 +234,8 @@ impl Tuner {
             return Err(e);
         }
 
-        // Coloring cost estimate for the thread-aware model: the widest
-        // schedule any loop of the chain would execute (colors = pool
+        // Barrier cost estimate for the thread-aware model: the widest
+        // schedule any loop of the chain would execute (levels = pool
         // barriers per loop). Rank-local here, allreduced below.
         let threads = threading.n_threads;
         let n_colors_local = if threads > 1 {
@@ -245,7 +245,7 @@ impl Tuner {
                 .zip(&chain.halo_ext)
                 .map(|(spec, &ext)| {
                     let end = env.layout.sets[spec.set.idx()].exec_end(ext);
-                    env.build_block_coloring(spec, 0, end).n_colors
+                    env.threaded_levels(spec, 0, end)
                 })
                 .max()
                 .unwrap_or(1)

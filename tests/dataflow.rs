@@ -32,8 +32,14 @@ use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, 
 use op2::mesh::{Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_chain_tiled};
-use op2::runtime::{run_distributed_with, ExecMode, FuseMode, RankTrace, RunOptions, Threading};
+use op2::runtime::{
+    run_distributed_with, ExecMode, FuseMode, RankTrace, RunOptions, SchedKind, Threading,
+};
 use proptest::prelude::*;
+
+#[path = "support/owner_case.rs"]
+mod owner_case;
+use owner_case::OwnerCase;
 
 /// Indirect edge sweep: dyadic flux of the endpoint difference,
 /// incremented into both endpoints — the conflicts that force colors
@@ -225,6 +231,67 @@ proptest! {
             &case, &layouts, ExecMode::Auto, pin,
             Threading::with_threads(4), 0, iters);
         prop_assert_eq!(&bits, &seq_bits, "auto != seq");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Owner-compute schedules under the dataflow drain at 1–4 threads,
+    /// on ordered and shuffled meshes, with and without an edge whose
+    /// map entries coincide: bitwise equal to the single-threaded run
+    /// (and to `core::seq` on one rank), and the
+    /// chunk DAG of every owner level has no edges (masked pieces count
+    /// only their unmasked targets), so its critical path is 1 and every
+    /// chunk fires once.
+    #[test]
+    fn owner_levels_stay_unchained_under_dataflow(
+        nx in 8usize..14,
+        ny in 8usize..14,
+        nparts in 1usize..3,
+        shuffle in proptest::option::of(0u64..1 << 32),
+        coincident in proptest::bool::ANY,
+        pin in proptest::bool::ANY,
+    ) {
+        let iters = 2;
+        let case = OwnerCase::build(nx, ny, shuffle, coincident);
+        let layouts = case.layouts(nparts);
+        let mut want = Vec::new();
+        for n_threads in 1..=4 {
+            let mut dom = case.dom.clone();
+            let opts = RunOptions::default()
+                .exec(ExecMode::Dataflow)
+                .thread_pin(pin)
+                .threading(Threading { n_threads, block_size: 8, auto_block: false });
+            let out = run_distributed_with(&mut dom, &layouts, &opts, |env| {
+                for _ in 0..iters {
+                    for spec in case.program() {
+                        op2::runtime::exec::run_loop(env, spec)?;
+                    }
+                }
+                Ok(())
+            });
+            prop_assert!(out.all_ok(), "failures: {:?}", out.failures());
+            if n_threads == 1 {
+                want = case.bits(&dom);
+                if nparts == 1 {
+                    prop_assert_eq!(&want, &case.run_seq(iters), "single-threaded run != seq");
+                }
+            }
+            prop_assert_eq!(case.bits(&dom), want.clone(), "dataflow @{} != 1 thread", n_threads);
+            let owner: Vec<_> = out
+                .traces
+                .iter()
+                .flat_map(|t| &t.threads)
+                .filter(|r| r.kind == SchedKind::Owner && r.n_chunks > 1)
+                .collect();
+            prop_assert_eq!(owner.is_empty(), n_threads == 1);
+            for r in owner {
+                prop_assert!(r.dataflow, "`{}` skipped the dataflow drain", &r.name);
+                prop_assert_eq!(r.crit_path, 1, "`{}`: owner chunks chained", &r.name);
+                prop_assert_eq!(r.fires.iter().sum::<u64>(), r.n_chunks as u64);
+            }
+        }
     }
 }
 

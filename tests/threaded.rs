@@ -12,13 +12,24 @@
 //! The kernels keep all values dyadic rationals of small magnitude, so
 //! floating-point addition is exact and the sequential reference is
 //! bit-comparable even across the distributed runs' local renumbering.
+//!
+//! The owner-compute properties at the end use order-sensitive
+//! (non-dyadic) increments instead: there, bitwise equality pins the
+//! per-element update order itself.
 
+use op2::core::owner::{eligible, is_valid_owner_schedule, owner_schedule};
+use op2::core::par::conflict_accesses;
+use op2::core::schedule::run_loop_schedule_threads;
 use op2::core::{seq, AccessMode, Arg, Args, ChainSpec, DatId, Domain, LoopSpec, SetId};
 use op2::mesh::{Quad2D, Tet3D};
 use op2::partition::{build_layouts, derive_ownership, rcb_partition, RankLayout};
 use op2::runtime::exec::{run_chain, run_chain_unplanned, run_loop};
-use op2::runtime::{run_distributed_with, RankTrace, RunOptions, Threading};
+use op2::runtime::{run_distributed_with, RankTrace, RunOptions, SchedKind, Threading};
 use proptest::prelude::*;
+
+#[path = "support/owner_case.rs"]
+mod owner_case;
+use owner_case::OwnerCase;
 
 fn bump(args: &Args<'_>) {
     args.set(0, 0, args.get(0, 0) + 1.0);
@@ -261,6 +272,137 @@ fn threaded_path_engages_on_large_mesh() {
             assert_eq!(rec.n_threads, 4);
             assert_eq!(rec.level_ns.len(), rec.n_levels);
             assert!(rec.n_chunks > 0 && rec.n_levels > 0);
+        }
+    }
+}
+
+/// Owner-compute lowering on one domain, checked three ways at 1–4
+/// threads: the independent validator accepts the schedule, the
+/// schedule is one level of at most one chunk per thread, and running
+/// it on scoped threads is bitwise equal to `core::seq` — on ordered
+/// and shuffled meshes, with an edge whose two map entries coincide,
+/// and for a loop incrementing two target sets.
+fn check_owner_lowering(dom: &Domain, spec: &LoopSpec, bits: &dyn Fn(&Domain) -> Vec<Vec<u64>>) {
+    assert!(
+        eligible(&spec.sig()),
+        "`{}` should be owner-eligible",
+        spec.name
+    );
+    let mut want = dom.clone();
+    seq::run_loop(&mut want, spec);
+    let sizes: Vec<usize> = dom.sets().iter().map(|s| s.size).collect();
+    let acc = conflict_accesses(dom.maps(), &spec.sig());
+    let n = dom.set(spec.set).size;
+    for threads in 1..=4 {
+        let sched = owner_schedule(0, n, threads, &sizes, &acc);
+        assert!(
+            is_valid_owner_schedule(&sched, 0, n, &sizes, &acc),
+            "`{}` @{threads}: invalid owner schedule",
+            spec.name
+        );
+        assert_eq!(sched.n_levels(), 1);
+        assert!(sched.n_chunks() <= threads);
+        let mut got = dom.clone();
+        run_loop_schedule_threads(&mut got, spec, &sched, threads);
+        assert_eq!(bits(&got), bits(&want), "`{}` @{threads} != seq", spec.name);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn owner_lowering_bitwise_equals_seq(
+        nx in 3usize..12,
+        ny in 3usize..12,
+        shuffle in proptest::option::of(0u64..1 << 32),
+        coincident in proptest::bool::ANY,
+    ) {
+        let case = OwnerCase::build(nx, ny, shuffle, coincident);
+        for spec in [&case.flux, &case.two_set] {
+            check_owner_lowering(&case.dom, spec, &|d| case.bits(d));
+        }
+        prop_assert!(!eligible(&case.relax.sig()));
+    }
+
+    /// MG-CFD's `restrict`: iterates fine nodes, reads them directly and
+    /// increments coarse nodes through the multigrid map — a loop whose
+    /// arguments span two sets — with the fine nodes shuffled.
+    #[test]
+    fn owner_lowering_bitwise_on_mgcfd_restrict(n in 3usize..7, seed in 0u64..1 << 32) {
+        let mut app = op2::mgcfd::MgCfd::new(op2::mgcfd::MgCfdParams::small(n));
+        let fine = app.levels[0];
+        op2::mesh::shuffle::shuffle_set(&mut app.dom, fine.ids.nodes, seed);
+        for (i, v) in app.dom.dat_mut(fine.flux).data.iter_mut().enumerate() {
+            *v = (i as f64 * 0.713).cos();
+        }
+        let coarse = app.levels[1].flux;
+        let spec = app.restrict_loop(0);
+        check_owner_lowering(&app.dom, &spec, &|d| {
+            vec![d.dat(coarse).data.iter().map(|x| x.to_bits()).collect()]
+        });
+    }
+
+    /// Through the distributed runtime at 1–4 pool threads: increment
+    /// loops take the owner-compute path (one level, at most one chunk
+    /// per thread), the indirect-`Rw` loop keeps the colored path, the
+    /// results are bitwise equal to the single-threaded run — and to
+    /// `core::seq` on one rank, where local numbering keeps the global
+    /// order — and a rerun reproduces every `ThreadRec`,
+    /// `redundant_iters` included, under `==`.
+    #[test]
+    fn runtime_owner_and_colored_paths_bitwise(
+        nx in 8usize..14,
+        ny in 8usize..14,
+        nparts in 1usize..3,
+        shuffle in proptest::option::of(0u64..1 << 32),
+        coincident in proptest::bool::ANY,
+    ) {
+        let iters = 2;
+        let case = OwnerCase::build(nx, ny, shuffle, coincident);
+        let want = case.run_seq(iters);
+        let layouts = case.layouts(nparts);
+        let run = |n_threads: usize| {
+            let mut dom = case.dom.clone();
+            let threading = Threading { n_threads, block_size: 8, auto_block: false };
+            let opts = RunOptions::default().threading(threading);
+            let out = run_distributed_with(&mut dom, &layouts, &opts, |env| {
+                for _ in 0..iters {
+                    for spec in case.program() {
+                        run_loop(env, spec)?;
+                    }
+                }
+                Ok(())
+            });
+            assert!(out.all_ok(), "failures: {:?}", out.failures());
+            (out.traces, case.bits(&dom))
+        };
+        let (traces, single) = run(1);
+        prop_assert!(traces.iter().all(|t| t.threads.is_empty()));
+        if nparts == 1 {
+            prop_assert_eq!(&single, &want, "single-threaded run != seq");
+        }
+        for n_threads in 2..=4 {
+            let (traces, bits) = run(n_threads);
+            prop_assert_eq!(&bits, &single, "{} threads: data != 1 thread", n_threads);
+            let recs: Vec<_> = traces.iter().flat_map(|t| &t.threads).collect();
+            for r in &recs {
+                if r.name == "relax" {
+                    prop_assert_eq!(r.kind, SchedKind::Colored);
+                    prop_assert_eq!(r.redundant_iters, 0);
+                } else {
+                    prop_assert_eq!(r.kind, SchedKind::Owner, "`{}`", &r.name);
+                    prop_assert_eq!(r.n_levels, 1);
+                    prop_assert!(r.n_chunks <= n_threads);
+                    prop_assert_eq!(r.block_size, 0);
+                }
+            }
+            prop_assert!(recs.iter().any(|r| r.kind == SchedKind::Owner), "owner path never engaged");
+            prop_assert!(recs.iter().any(|r| r.kind == SchedKind::Colored), "colored path never engaged");
+            let (again, _) = run(n_threads);
+            for (a, b) in traces.iter().zip(&again) {
+                prop_assert_eq!(&a.threads, &b.threads, "rank {}: ThreadRecs differ on replay", a.rank);
+            }
         }
     }
 }
